@@ -40,9 +40,8 @@ type shard struct {
 	mu    sync.Mutex
 	cap   int
 	set   map[uuid.UUID]struct{}
-	order []uuid.UUID // ring buffer of insertion order
-	head  int         // next slot to overwrite once full
-	full  bool
+	order []uuid.UUID // insertion order: grows to cap, then a ring
+	head  int         // next slot to overwrite once order is full
 	hits  uint64
 	adds  uint64
 }
@@ -54,7 +53,10 @@ type Cache struct {
 }
 
 // New returns a Cache remembering the last capacity UUIDs.
-// capacity <= 0 falls back to DefaultCapacity.
+// capacity <= 0 falls back to DefaultCapacity. Nothing is preallocated: the
+// set and the order ring grow with use, so a cache that never sees traffic
+// (a broker's event-flood window on a discovery-only fabric) costs almost
+// nothing.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -68,8 +70,7 @@ func New(capacity int) *Cache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = per
-		s.set = make(map[uuid.UUID]struct{}, per)
-		s.order = make([]uuid.UUID, per)
+		s.set = make(map[uuid.UUID]struct{})
 	}
 	return c
 }
@@ -88,16 +89,17 @@ func (c *Cache) Seen(id uuid.UUID) bool {
 		s.hits++
 		return true
 	}
-	if s.full {
+	if len(s.order) < s.cap {
+		s.order = append(s.order, id)
+	} else {
 		delete(s.set, s.order[s.head])
+		s.order[s.head] = id
+		s.head++
+		if s.head == s.cap {
+			s.head = 0
+		}
 	}
-	s.order[s.head] = id
 	s.set[id] = struct{}{}
-	s.head++
-	if s.head == s.cap {
-		s.head = 0
-		s.full = true
-	}
 	s.adds++
 	return false
 }
@@ -157,10 +159,10 @@ func (c *Cache) Reset() {
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.set = make(map[uuid.UUID]struct{}, s.cap)
+		clear(s.set)
 		clear(s.order)
+		s.order = s.order[:0]
 		s.head = 0
-		s.full = false
 		s.hits = 0
 		s.adds = 0
 	}

@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -232,19 +233,114 @@ func TestSmallCapacityStaysSingleShard(t *testing.T) {
 	}
 }
 
+// assertRingCleared checks the whole backing array of every shard's order
+// ring, not just its length, since a lazily grown ring keeps its array
+// across Reset.
+func assertRingCleared(t *testing.T, c *Cache) {
+	t.Helper()
+	var zero uuid.UUID
+	for i := range c.shards {
+		order := c.shards[i].order
+		for _, id := range order[:cap(order)] {
+			if id != zero {
+				t.Fatal("Reset left a stale UUID in the order ring")
+			}
+		}
+	}
+}
+
 func TestResetClearsOrderRing(t *testing.T) {
 	c := New(8)
 	for i := 0; i < 8; i++ {
 		c.Seen(uuid.New())
 	}
+	if got := cap(c.shards[0].order); got < 8 {
+		t.Fatalf("order ring holds %d slots after filling 8, want >= 8", got)
+	}
 	c.Reset()
-	var zero uuid.UUID
-	for i := range c.shards {
-		for _, id := range c.shards[i].order {
-			if id != zero {
-				t.Fatal("Reset left a stale UUID in the order ring")
+	assertRingCleared(t, c)
+}
+
+// TestEvictionAcrossFillBoundary checks the last-N window after every
+// insertion, through the point where the lazily grown order ring fills and
+// starts overwriting, for both the single-shard and the sharded cache.
+func TestEvictionAcrossFillBoundary(t *testing.T) {
+	for _, capacity := range []int{100, 4096} {
+		c := New(capacity)
+		ids := shardedIDs(2*capacity + 3)
+		for i, id := range ids {
+			if c.Seen(id) {
+				t.Fatalf("cap %d: fresh id %d reported as seen", capacity, i)
+			}
+			if want := min(i+1, capacity); c.Len() != want {
+				t.Fatalf("cap %d: Len = %d after %d inserts, want %d", capacity, c.Len(), i+1, want)
+			}
+			if !c.Contains(ids[max(i+1-capacity, 0)]) {
+				t.Fatalf("cap %d: oldest in-window id evicted after %d inserts", capacity, i+1)
+			}
+			if i >= capacity && c.Contains(ids[i-capacity]) {
+				t.Fatalf("cap %d: id %d survived past the window after %d inserts", capacity, i-capacity, i+1)
 			}
 		}
+	}
+}
+
+// TestResetPartwayThroughFill resets caches whose order rings are still
+// growing, then refills them past capacity.
+func TestResetPartwayThroughFill(t *testing.T) {
+	for _, capacity := range []int{8, 4096} {
+		c := New(capacity)
+		old := shardedIDs(capacity / 2)
+		for _, id := range old {
+			c.Seen(id)
+		}
+		c.Reset()
+		assertRingCleared(t, c)
+		if c.Len() != 0 {
+			t.Fatalf("cap %d: Len = %d after Reset", capacity, c.Len())
+		}
+		for _, id := range old {
+			if c.Contains(id) {
+				t.Fatalf("cap %d: stale id survived Reset", capacity)
+			}
+		}
+		fresh := shardedIDs(3 * capacity)[capacity:]
+		for _, id := range fresh {
+			if c.Seen(id) {
+				t.Fatalf("cap %d: fresh id reported as seen after Reset", capacity)
+			}
+		}
+		for _, id := range fresh[len(fresh)-capacity:] {
+			if !c.Contains(id) {
+				t.Fatalf("cap %d: refilled id evicted early", capacity)
+			}
+		}
+		for _, id := range append(old, fresh[:len(fresh)-capacity]...) {
+			if c.Contains(id) {
+				t.Fatalf("cap %d: id outside the window after refill", capacity)
+			}
+		}
+		if c.Len() != capacity {
+			t.Fatalf("cap %d: Len = %d after refill, want %d", capacity, c.Len(), capacity)
+		}
+	}
+}
+
+var sinkCache *Cache
+
+// TestNewIsLazy guards the lazily grown caches: a broker builds a
+// 4000-entry event window it may never use, so construction must not
+// preallocate the set or the order ring.
+func TestNewIsLazy(t *testing.T) {
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sinkCache = New(4000)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 16<<10 {
+		t.Fatalf("New(4000) allocated %d B before its first Seen, want < 16384", per)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -85,12 +86,42 @@ type packet struct {
 	from    string
 }
 
-func (p *realPacketConn) Send(to string, payload []byte) error {
-	addr, err := net.ResolveUDPAddr("udp", to)
+// maxDatagram is the largest payload one UDP read can return. A smaller read
+// buffer would let the kernel silently truncate larger datagrams.
+const maxDatagram = 1 << 16
+
+// datagramBufs holds maxDatagram-byte read scratch shared by every real
+// packet conn: core.Discoverer opens a fresh conn per discovery, so a per-conn
+// buffer would still cost one 64 KiB allocation per Discover.
+var datagramBufs = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
+
+// readDatagram reads one datagram into pooled scratch and returns an
+// exact-size copy the caller owns, with the sender as "ip:port" (an IPv4
+// sender stays "1.2.3.4:port" even on a dual-stack socket).
+func readDatagram(uc *net.UDPConn) ([]byte, string, error) {
+	buf := datagramBufs.Get().(*[maxDatagram]byte)
+	defer datagramBufs.Put(buf)
+	n, from, err := uc.ReadFromUDPAddrPort(buf[:])
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	_, err = p.uc.WriteToUDP(payload, addr)
+	payload := make([]byte, n)
+	copy(payload, buf[:n])
+	return payload, netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).String(), nil
+}
+
+// Send writes payload to to, an "ip:port" literal or a "host:port" that is
+// resolved on every call.
+func (p *realPacketConn) Send(to string, payload []byte) error {
+	ap, err := netip.ParseAddrPort(to)
+	if err != nil {
+		addr, err := net.ResolveUDPAddr("udp", to)
+		if err != nil {
+			return err
+		}
+		ap = addr.AddrPort()
+	}
+	_, err = p.uc.WriteToUDPAddrPort(payload, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
 	return translateNetErr(err)
 }
 
@@ -129,12 +160,8 @@ func (p *realPacketConn) recv(d time.Duration) ([]byte, string, error) {
 		}
 		defer p.uc.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	buf := make([]byte, 65536)
-	n, from, err := p.uc.ReadFromUDP(buf)
-	if err != nil {
-		return nil, "", translateNetErr(err)
-	}
-	return buf[:n], from.String(), nil
+	payload, from, err := readDatagram(p.uc)
+	return payload, from, translateNetErr(err)
 }
 
 func (p *realPacketConn) LocalAddr() string { return p.uc.LocalAddr().String() }
@@ -190,15 +217,13 @@ func (p *realPacketConn) pumpUnicast() {
 }
 
 func pumpReader(uc *net.UDPConn, inbox chan packet) {
-	buf := make([]byte, 65536)
 	for {
-		n, from, err := uc.ReadFromUDP(buf)
+		payload, from, err := readDatagram(uc)
 		if err != nil {
 			return
 		}
-		payload := append([]byte(nil), buf[:n]...)
 		select {
-		case inbox <- packet{payload: payload, from: from.String()}:
+		case inbox <- packet{payload: payload, from: from}:
 		default: // inbox overflow: drop like a kernel buffer
 		}
 	}

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -149,6 +152,175 @@ func TestRealPacketRoundTrip(t *testing.T) {
 	}
 	if string(payload) != "real-udp" || from == "" {
 		t.Fatalf("got %q from %q", payload, from)
+	}
+}
+
+// newRealPacketPair opens two loopback datagram conns closed at test end.
+func newRealPacketPair(tb testing.TB) (PacketConn, PacketConn) {
+	tb.Helper()
+	node := NewRealNode("127.0.0.1", nil)
+	pa, err := node.ListenPacket(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pa.Close() })
+	pb, err := node.ListenPacket(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pb.Close() })
+	return pa, pb
+}
+
+// filled returns n bytes that vary with both position and seed, so a
+// truncated, shifted or overwritten payload never compares equal.
+func filled(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31) ^ seed
+	}
+	return b
+}
+
+func TestRealPacketLargeDatagram(t *testing.T) {
+	pa, pb := newRealPacketPair(t)
+	want := filled(60000, 0x5a)
+	if err := pa.Send(pb.LocalAddr(), want); err != nil {
+		t.Fatal(err)
+	}
+	got, from, err := pb.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("got %d bytes, want the %d sent byte for byte", len(got), len(want))
+	}
+	if from != pa.LocalAddr() {
+		t.Fatalf("from = %q, want %q", from, pa.LocalAddr())
+	}
+}
+
+func TestRealPacketSendHostname(t *testing.T) {
+	pa, pb := newRealPacketPair(t)
+	_, port, err := net.SplitHostPort(pb.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.Send(net.JoinHostPort("localhost", port), []byte("by-name")); err != nil {
+		t.Skipf("localhost does not resolve to loopback IPv4: %v", err)
+	}
+	got, from, err := pb.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "by-name" || from != pa.LocalAddr() {
+		t.Fatalf("got %q from %q", got, from)
+	}
+}
+
+func TestRealPacketRecvDoesNotAlias(t *testing.T) {
+	pa, pb := newRealPacketPair(t)
+	first, second := filled(512, 1), filled(512, 2)
+	for _, p := range [][]byte{first, second} {
+		if err := pa.Send(pb.LocalAddr(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got1, _, err := pb.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, _, err := pb.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got1, first) {
+		t.Fatal("first payload changed after the second Recv")
+	}
+	if !bytes.Equal(got2, second) {
+		t.Fatal("second payload corrupted")
+	}
+	if cap(got1) != len(got1) {
+		t.Fatalf("payload cap = %d, want an exact-size copy of %d bytes", cap(got1), len(got1))
+	}
+}
+
+func TestRealPacketConcurrentRecv(t *testing.T) {
+	pa, pb := newRealPacketPair(t)
+	for round := 0; round < 50; round++ {
+		got := make(chan []byte, 2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				p, _, err := pb.RecvTimeout(2 * time.Second)
+				if err != nil {
+					t.Error(err)
+				}
+				got <- p
+			}()
+		}
+		want := [][]byte{filled(1024, byte(2*round)), filled(1024, byte(2*round+1))}
+		for _, p := range want {
+			if err := pa.Send(pb.LocalAddr(), p); err != nil {
+				t.Error(err)
+			}
+		}
+		a, b := <-got, <-got
+		if t.Failed() {
+			return
+		}
+		if bytes.Equal(a, want[1]) {
+			a, b = b, a
+		}
+		if !bytes.Equal(a, want[0]) || !bytes.Equal(b, want[1]) {
+			t.Fatalf("round %d: concurrent receivers got mixed or corrupted payloads", round)
+		}
+	}
+}
+
+// TestRealPacketRecvHeapGuard pins the pooled receive buffer: a datagram
+// round trip allocates its exact-size payload and sender string, never a
+// fresh 64 KiB read buffer.
+func TestRealPacketRecvHeapGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	pa, pb := newRealPacketPair(t)
+	to, msg := pb.LocalAddr(), filled(256, 7)
+	roundTrip := func() {
+		if err := pa.Send(to, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pb.RecvTimeout(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip()
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4<<10 {
+		t.Fatalf("%d B allocated per datagram, want < 4096", per)
+	}
+}
+
+func BenchmarkRealPacketRoundTrip(b *testing.B) {
+	pa, pb := newRealPacketPair(b)
+	to, msg := pb.LocalAddr(), filled(256, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pa.Send(to, msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := pb.RecvTimeout(2 * time.Second); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
