@@ -24,14 +24,15 @@ fmt-check:
 verify: build vet fmt-check test race
 
 # bench runs the publish fast-path micro-benchmarks that back
-# BENCH_fastpath.json (fan-out, topic matching, codec, dedup) and the
-# loopback datagram round trip the discovery path runs on.
+# BENCH_fastpath.json (fan-out, topic matching, codec, dedup), the
+# loopback datagram round trip the discovery path runs on, and one coalesced
+# stream flush (a 16-frame SendBatch and its 16 Recvs) the publish path runs on.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPublishFanout' -benchmem -benchtime=2s ./internal/broker/
 	$(GO) test -run '^$$' -bench 'BenchmarkTableMatch' -benchmem -benchtime=2s ./internal/topics/
 	$(GO) test -run '^$$' -bench 'BenchmarkEventCodec' -benchmem -benchtime=2s ./internal/event/
 	$(GO) test -run '^$$' -bench 'BenchmarkSeenParallel' -benchmem -benchtime=2s ./internal/dedup/
-	$(GO) test -run '^$$' -bench 'BenchmarkRealPacketRoundTrip' -benchmem -benchtime=2s ./internal/transport/
+	$(GO) test -run '^$$' -bench 'BenchmarkRealPacketRoundTrip|BenchmarkRealStreamFrames' -benchmem -benchtime=2s ./internal/transport/
 
 # bench-gate re-runs the publish fan-out benchmark and fails on a >2% ns/op
 # regression or any allocs/op above the gates recorded in BENCH_fanout.json.

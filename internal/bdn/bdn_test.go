@@ -24,9 +24,19 @@ type env struct {
 	rng *rand.Rand
 }
 
+// testScale is the model-time speed-up of the package's simulated WAN. At
+// 10, a 2 s TTL lasts 200 ms of wall time and the 117 ms RTT gap between
+// Indianapolis and Cardiff ~12 ms: scheduler stalls on a loaded host stay
+// below both.
+const testScale = 10
+
 func newEnv(t *testing.T, seed int64) *env {
+	return newEnvAt(t, seed, testScale)
+}
+
+func newEnvAt(t *testing.T, seed int64, scale float64) *env {
 	return &env{
-		net: simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed}),
+		net: simnet.NewPaperWAN(simnet.Config{Scale: scale, Seed: seed}),
 		t:   t,
 		rng: rand.New(rand.NewSource(seed)),
 	}
@@ -77,6 +87,12 @@ func (e *env) broker(site, name string) *broker.Broker {
 	return b
 }
 
+// waitBrokers waits, with a model-time limit, for d's table to hold n
+// brokers; the caller asserts the count.
+func (e *env) waitBrokers(d *BDN, n int) {
+	e.net.WaitUntil(30*time.Second, func() bool { return d.BrokerCount() == n })
+}
+
 func TestNewRequiresName(t *testing.T) {
 	e := newEnv(t, 1)
 	node, ntp := e.node(simnet.SiteBloomington, "x")
@@ -92,7 +108,7 @@ func TestBrokerRegistrationStored(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d", d.BrokerCount())
 	}
@@ -117,6 +133,7 @@ func TestAdmitFilterRejects(t *testing.T) {
 	_ = us.RegisterWithBDN(d.Addr())
 	_ = uk.RegisterWithBDN(d.Addr())
 	e.net.Clock().Sleep(500 * time.Millisecond)
+	e.waitBrokers(d, 1)
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d, want 1 (UK filtered)", d.BrokerCount())
 	}
@@ -175,7 +192,7 @@ func TestInjectionReachesBroker(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -200,7 +217,7 @@ func TestIdempotentRequests(t *testing.T) {
 	d := e.bdn(Config{Name: "gsl.org"})
 	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
 	_ = b.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -230,7 +247,7 @@ func TestPrivateBDNRequiresCredential(t *testing.T) {
 		RequiredCredential: []byte("badge")})
 	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
 	_ = b.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -264,7 +281,7 @@ func TestMeasureDistances(t *testing.T) {
 	far := e.broker(simnet.SiteCardiff, "broker-far")
 	_ = near.RegisterWithBDN(d.Addr())
 	_ = far.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 2)
 
 	dists := d.MeasureDistances()
 	if len(dists) != 2 {
@@ -280,7 +297,9 @@ func TestClosestFarthestInjection(t *testing.T) {
 	// With 3 registered brokers and the smart policy, only the closest and
 	// farthest get the injection; the middle broker (unconnected) never
 	// hears the request.
-	e := newEnv(t, 9)
+	// The nearest and middle brokers differ by 19 ms of RTT; at scale 2
+	// that is ~10 ms of wall time, above a loaded host's wakeup latency.
+	e := newEnvAt(t, 9, 2)
 	d := e.bdn(Config{Name: "gsl.org", Policy: InjectClosestFarthest})
 	near := e.broker(simnet.SiteIndianapolis, "a-near") // ~3ms
 	mid := e.broker(simnet.SiteUMN, "b-mid")            // ~22ms
@@ -290,7 +309,7 @@ func TestClosestFarthestInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 3)
 	d.MeasureDistances()
 
 	node, _ := e.node(simnet.SiteBloomington, "client")

@@ -47,7 +47,7 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	if err := b2.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(500 * time.Millisecond)
+	e.waitBrokers(d, 2)
 	if d.BrokerCount() != 2 {
 		t.Fatalf("pre-restart BrokerCount = %d", d.BrokerCount())
 	}
@@ -85,7 +85,7 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	if err := b1.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 	if err := d.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	}
 	d.SetRequiredCredential([]byte("s3cret"))
 	d.SetEpoch(7)
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 2)
 	before := d.Brokers()
 	if len(before) != 2 {
 		t.Fatalf("pre-restart table %v", before)
@@ -125,14 +125,13 @@ func TestSweepDeleteIsDurable(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d", d.BrokerCount())
 	}
 	b.Close() // stop refreshes so the registration ages out
-	e.net.Clock().Sleep(5 * time.Second)
-	if d.BrokerCount() != 0 {
-		t.Fatalf("expired broker still listed (%d)", d.BrokerCount())
+	if took := e.waitExpired(d); took > 5*time.Second {
+		t.Fatalf("2s ad expired after %v of model time, want <= 5s", took)
 	}
 	d2 := e.restart(d, cfg)
 	if d2.BrokerCount() != 0 {
@@ -145,7 +144,9 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 	// as remaining-duration against the snapshot's monotonic base, so a
 	// clock step (here: an hour of downtime) between crash and restart must
 	// NOT sweep the recovered ads — they get their remaining TTL back.
-	e := newEnv(t, 43)
+	// The hour-long outage below would take six minutes of wall time at
+	// testScale.
+	e := newEnvAt(t, 43, 300)
 	cfg := Config{Name: "jump.org", DataDir: t.TempDir(),
 		AdTTL: 10 * time.Second, SweepInterval: 100 * time.Millisecond}
 	d := e.bdn(cfg)
@@ -153,7 +154,7 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(d, 1)
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d", d.BrokerCount())
 	}
@@ -172,10 +173,22 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 	}
 	// And the rebased deadline still works: with no refreshes the ad ages
 	// out after its remaining TTL.
-	e.net.Clock().Sleep(15 * time.Second)
-	if d2.BrokerCount() != 0 {
-		t.Fatal("rebased deadline never expired")
+	if took := e.waitExpired(d2); took > 15*time.Second {
+		t.Fatalf("rebased 10s deadline expired after %v of model time, want <= 15s", took)
 	}
+}
+
+// waitExpired waits for d's table to empty, fails the test if it never
+// does, and returns the model time the wait took. Callers bound that time
+// by the TTL, so the wait's wall-time floor cannot hide a late expiry.
+func (e *env) waitExpired(d *BDN) time.Duration {
+	start := e.net.Clock().Now()
+	e.waitBrokers(d, 0)
+	took := e.net.Clock().Now().Sub(start)
+	if n := d.BrokerCount(); n != 0 {
+		e.t.Fatalf("expired broker still listed (%d) after %v of model time", n, took)
+	}
+	return took
 }
 
 func TestRecordCodecRoundTrip(t *testing.T) {
@@ -290,7 +303,7 @@ func TestReplicaSnapshotInstallTransfersTable(t *testing.T) {
 	if err := b.RegisterWithBDN(src.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitBrokers(src, 1)
 	idx, state := src.ReplicaSnapshot()
 	if idx == 0 || len(state) == 0 {
 		t.Fatalf("ReplicaSnapshot = (%d, %d bytes)", idx, len(state))

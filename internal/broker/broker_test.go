@@ -25,12 +25,45 @@ type env struct {
 	rng *rand.Rand
 }
 
+// testScale is the model-time speed-up of the package's simulated WAN. At
+// 50 a 5 s delivery timeout is 100 ms of wall time, well above the
+// scheduler stalls of a loaded host.
+const testScale = 50
+
 func newEnv(t *testing.T, seed int64) *env {
 	return &env{
-		net: simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed}),
+		net: simnet.NewPaperWAN(simnet.Config{Scale: testScale, Seed: seed}),
 		t:   t,
 		rng: rand.New(rand.NewSource(seed)),
 	}
+}
+
+// waitMatch waits, with a model-time limit, until every broker in bs
+// matches topic to some subscriber (a local client, or in routed mode a
+// link peer whose interest has arrived), or with want false until none
+// does. The caller's later assertions catch a wait that gave up.
+func (e *env) waitMatch(topic string, want bool, bs ...*Broker) {
+	e.net.WaitUntil(10*time.Second, func() bool {
+		for _, b := range bs {
+			if b.subs.HasMatch(topic) != want {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// waitLinks waits, with a model-time limit, until brokers[i] holds
+// counts[i] links.
+func (e *env) waitLinks(brokers []*Broker, counts ...int) {
+	e.net.WaitUntil(10*time.Second, func() bool {
+		for i, b := range brokers {
+			if b.LinkCount() != counts[i] {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func (e *env) node(site, host string) (*transport.SimNode, *ntptime.Service) {
@@ -94,7 +127,7 @@ func TestLocalPubSub(t *testing.T) {
 	if err := c.Subscribe("sports/*"); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(50 * time.Millisecond) // let the subscribe land
+	e.waitMatch("sports/cricket", true, b) // let the subscribe land
 
 	pub, err := Connect(node, b.StreamAddr(), "publisher")
 	if err != nil {
@@ -120,7 +153,7 @@ func TestSubscriberDoesNotReceiveUnmatched(t *testing.T) {
 	c, _ := Connect(node, b.StreamAddr(), "client")
 	defer c.Close()
 	_ = c.Subscribe("sports/cricket")
-	e.net.Clock().Sleep(50 * time.Millisecond)
+	e.waitMatch("sports/cricket", true, b)
 	_ = c.Publish("news/weather", []byte("rain"))
 	if _, err := c.Next(300 * time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("unmatched event delivered: %v", err)
@@ -134,9 +167,9 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	c, _ := Connect(node, b.StreamAddr(), "client")
 	defer c.Close()
 	_ = c.Subscribe("a/b")
-	e.net.Clock().Sleep(50 * time.Millisecond)
+	e.waitMatch("a/b", true, b)
 	_ = c.Unsubscribe("a/b")
-	e.net.Clock().Sleep(50 * time.Millisecond)
+	e.waitMatch("a/b", false, b)
 	_ = c.Publish("a/b", []byte("x"))
 	if _, err := c.Next(300 * time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("event delivered after unsubscribe: %v", err)
@@ -158,13 +191,13 @@ func TestPubSubAcrossLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks(brokers, 1, 2, 2, 1)
 
 	node, _ := e.node(simnet.SiteFSU, "sub")
 	c, _ := Connect(node, brokers[3].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("wan/**")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("wan/test/hello", true, brokers[3])
 
 	if err := brokers[0].Publish("wan/test/hello", []byte("across")); err != nil {
 		t.Fatal(err)
@@ -190,13 +223,13 @@ func TestFloodDedupNoDuplicateDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks([]*Broker{b1, b2, b3}, 2, 2, 2)
 
 	node, _ := e.node(simnet.SiteNCSA, "sub")
 	c, _ := Connect(node, b3.StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("x/y")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("x/y", true, b3)
 
 	if err := b1.Publish("x/y", []byte("once")); err != nil {
 		t.Fatal(err)
@@ -216,7 +249,7 @@ func TestLinkCountTracked(t *testing.T) {
 	if err := b2.LinkTo(b1.StreamAddr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks([]*Broker{b1, b2}, 1, 1)
 	if b1.LinkCount() != 1 || b2.LinkCount() != 1 {
 		t.Fatalf("link counts = %d/%d, want 1/1", b1.LinkCount(), b2.LinkCount())
 	}
@@ -359,7 +392,7 @@ func TestDiscoveryRequestFloodedAcrossChain(t *testing.T) {
 	b3 := e.broker(simnet.SiteNCSA, "c3", Config{})
 	_ = b2.LinkTo(b1.StreamAddr())
 	_ = b3.LinkTo(b2.StreamAddr())
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks([]*Broker{b1, b2, b3}, 1, 2, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "probe")
 	pc, _ := node.ListenPacket(0)
@@ -411,12 +444,12 @@ func TestClientCountAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c.Subscribe("a/b")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("a/b", true, b)
 	if b.ClientCount() != 1 {
 		t.Fatalf("ClientCount = %d", b.ClientCount())
 	}
 	c.Close()
-	e.net.Clock().Sleep(200 * time.Millisecond)
+	e.net.WaitUntil(10*time.Second, func() bool { return b.ClientCount() == 0 })
 	if b.ClientCount() != 0 {
 		t.Fatalf("ClientCount after close = %d", b.ClientCount())
 	}
@@ -427,7 +460,7 @@ func TestClientCountAndClose(t *testing.T) {
 
 func TestHeartbeatKeepsHealthyLinkAlive(t *testing.T) {
 	// A generous interval: the 3-interval liveness window must stay wide in
-	// wall time (3 x 2s model / scale 300 = 20ms) so scheduler contention
+	// wall time (3 x 2s model / testScale = 120ms) so scheduler contention
 	// (e.g. a parallel benchmark run) cannot starve a healthy link.
 	e := newEnv(t, 20)
 	b1 := e.broker(simnet.SiteUMN, "hb1", Config{HeartbeatInterval: 2 * time.Second})
@@ -467,7 +500,7 @@ func TestDiscoveryRequestHopsIncrement(t *testing.T) {
 	b1 := e.broker(simnet.SiteIndianapolis, "h1", Config{})
 	b2 := e.broker(simnet.SiteUMN, "h2", Config{})
 	_ = b2.LinkTo(b1.StreamAddr())
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks([]*Broker{b1, b2}, 1, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "hopprobe")
 	pc, _ := node.ListenPacket(0)
@@ -496,7 +529,7 @@ func TestAdvertisementRelayViaClient(t *testing.T) {
 	watcher, _ := Connect(node, b.StreamAddr(), "watcher")
 	defer watcher.Close()
 	_ = watcher.Subscribe("Services/BrokerDiscoveryNodes/BrokerAdvertisement")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("Services/BrokerDiscoveryNodes/BrokerAdvertisement", true, b)
 
 	adv := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "announced"}}
 	relayNode, _ := e.node(simnet.SiteUMN, "relay")
@@ -556,13 +589,13 @@ func TestPublishTTLBoundsFlood(t *testing.T) {
 	b3 := e.broker(simnet.SiteNCSA, "ttl3", Config{})
 	_ = b2.LinkTo(b1.StreamAddr())
 	_ = b3.LinkTo(b2.StreamAddr())
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitLinks([]*Broker{b1, b2, b3}, 1, 2, 1)
 
 	node, _ := e.node(simnet.SiteNCSA, "farsub")
 	c, _ := Connect(node, b3.StreamAddr(), "farsub")
 	defer c.Close()
 	_ = c.Subscribe("ttl/test")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("ttl/test", true, b3)
 
 	// Hand-craft a publish with TTL=1: b1 forwards to b2 (TTL 0), b2 must
 	// not forward to b3.
@@ -596,7 +629,7 @@ func TestReplayServiceDeliversMissedEvents(t *testing.T) {
 	c, _ := Connect(node, b.StreamAddr(), "late")
 	defer c.Close()
 	_ = c.Subscribe("history/log")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	e.waitMatch("history/log", true, b)
 
 	if err := c.RequestReplay("history/log", 3); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,12 @@ func routedChain(t *testing.T, e *env, n int) []*Broker {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(200 * time.Millisecond)
+	counts := make([]int, n)
+	for i := 1; i < n; i++ {
+		counts[i-1]++
+		counts[i]++
+	}
+	e.waitLinks(brokers, counts...)
 	return brokers
 }
 
@@ -46,7 +51,7 @@ func TestRoutedDeliveryAcrossChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interest must propagate hop by hop back to broker 0.
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("routed/data", true, brokers[0])
 
 	if err := brokers[0].Publish("routed/data", []byte("via-interest")); err != nil {
 		t.Fatal(err)
@@ -87,7 +92,8 @@ func TestRoutedPartialPath(t *testing.T) {
 	c, _ := Connect(node, brokers[1].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("partial/topic")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	// Every broker learns the interest; only then is the link quiet.
+	e.waitMatch("partial/topic", true, brokers...)
 
 	_, _, framesBefore := e.net.Counters()
 	if err := brokers[0].Publish("partial/topic", []byte("one-hop")); err != nil {
@@ -112,9 +118,9 @@ func TestRoutedUnsubscribeWithdrawsInterest(t *testing.T) {
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("w/x")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("w/x", true, brokers...)
 	_ = c.Unsubscribe("w/x")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("w/x", false, brokers...)
 
 	_, _, framesBefore := e.net.Counters()
 	_ = brokers[0].Publish("w/x", []byte("stale"))
@@ -132,9 +138,9 @@ func TestRoutedClientDisconnectWithdrawsInterest(t *testing.T) {
 	node, _ := e.node(simnet.SiteNCSA, "sub")
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	_ = c.Subscribe("gone/client")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("gone/client", true, brokers...)
 	c.Close()
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("gone/client", false, brokers...)
 
 	_, _, framesBefore := e.net.Counters()
 	_ = brokers[0].Publish("gone/client", []byte("stale"))
@@ -153,7 +159,7 @@ func TestRoutedWildcardInterest(t *testing.T) {
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("wild/**")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.waitMatch("wild/a/b/c", true, brokers[0])
 
 	if err := brokers[0].Publish("wild/a/b/c", []byte("deep")); err != nil {
 		t.Fatal(err)
@@ -178,10 +184,19 @@ func TestRoutedTwoSubscribersSharedPattern(t *testing.T) {
 	defer c1.Close()
 	c2, _ := Connect(node, brokers[1].StreamAddr(), "c2")
 	defer c2.Close()
+	localRefs := func() int {
+		in := brokers[1].interest
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return in.local["shared/p"]
+	}
 	_ = c1.Subscribe("shared/p")
 	_ = c2.Subscribe("shared/p")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	e.net.WaitUntil(10*time.Second, func() bool { return localRefs() == 2 })
+	e.waitMatch("shared/p", true, brokers[0])
 	_ = c1.Unsubscribe("shared/p")
+	e.net.WaitUntil(10*time.Second, func() bool { return localRefs() == 1 })
+	// A wrongly withdrawn interest needs a hop to reach broker 0.
 	e.net.Clock().Sleep(300 * time.Millisecond)
 
 	if err := brokers[0].Publish("shared/p", []byte("still-flowing")); err != nil {

@@ -44,12 +44,9 @@ func TestConcurrentPubSubStress(t *testing.T) {
 	}
 	// Wait until the interest has actually propagated down the chain to b1
 	// (a fixed sleep flakes when the race detector slows the control path).
-	interestDeadline := time.Now().Add(10 * time.Second)
-	for !b1.subs.HasMatch("stress/probe") {
-		if time.Now().After(interestDeadline) {
-			t.Fatal("stable subscriber's interest never reached b1")
-		}
-		time.Sleep(time.Millisecond)
+	e.waitMatch("stress/probe", true, b1)
+	if !b1.subs.HasMatch("stress/probe") {
+		t.Fatal("stable subscriber's interest never reached b1")
 	}
 
 	var wg sync.WaitGroup

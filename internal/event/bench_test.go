@@ -34,3 +34,18 @@ func BenchmarkEventCodec(b *testing.B) {
 		}
 	})
 }
+
+// TestDecodeAllocGuard pins the per-frame decode cost on the benchEvent
+// frame: the Event, topic, source and the header map with its strings —
+// and no copy of the payload.
+func TestDecodeAllocGuard(t *testing.T) {
+	frame := Encode(benchEvent())
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 9 {
+		t.Fatalf("Decode = %.0f allocs/op, want at most 9", allocs)
+	}
+}

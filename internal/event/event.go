@@ -232,7 +232,11 @@ func EncodeTo(w *wire.Writer, e *Event) {
 	w.BytesField(e.Payload)
 }
 
-// Decode parses an encoded event, validating framing and type.
+// Decode parses an encoded event, validating framing and type. It retains
+// b: the decoded Payload aliases the frame rather than copying it, so the
+// caller hands ownership of b to the event and must not modify or reuse b
+// while the event is alive. Every transport returns frames the receiver
+// owns; Clone gives a fully independent copy.
 func Decode(b []byte) (*Event, error) {
 	r := wire.NewReader(b)
 	if m := r.Byte(); r.Err() == nil && m != magic {
@@ -249,7 +253,7 @@ func Decode(b []byte) (*Event, error) {
 	e.Timestamp = r.Time()
 	e.TTL = r.Byte()
 	e.Headers = r.StringMap()
-	e.Payload = r.BytesField()
+	e.Payload = r.BytesFieldAlias()
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("event: %w", err)
 	}

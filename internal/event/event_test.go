@@ -129,6 +129,29 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestDecodePayloadAliasesFrame documents Decode's contract: the decoded
+// Payload is a view into the frame the caller handed over, clipped so that
+// appending to it cannot write into the frame, while Clone stays deep.
+func TestDecodePayloadAliasesFrame(t *testing.T) {
+	frame := Encode(sampleEvent())
+	ev, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(ev.Payload) != len(ev.Payload) {
+		t.Fatalf("payload cap = %d, want clipped to its length %d", cap(ev.Payload), len(ev.Payload))
+	}
+	frame[len(frame)-1] = '!' // the payload is the frame's last field
+	if string(ev.Payload) != "bod!" {
+		t.Fatalf("payload = %q, want a view of the frame", ev.Payload)
+	}
+	c := ev.Clone()
+	frame[len(frame)-1] = '?'
+	if string(c.Payload) != "bod!" {
+		t.Fatalf("clone payload = %q, want an independent copy", c.Payload)
+	}
+}
+
 func TestTypeString(t *testing.T) {
 	if TypeDiscoveryRequest.String() != "discovery-request" {
 		t.Fatalf("String = %q", TypeDiscoveryRequest.String())

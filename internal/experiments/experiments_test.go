@@ -11,15 +11,11 @@ import (
 )
 
 // quickOpts keeps test runtime modest while leaving enough samples for the
-// shape assertions to be stable. Under the race detector model time runs
-// slower, trading runtime for timing deltas the instrumented scheduler
-// cannot blur.
+// shape assertions to be stable. Scale 25 keeps site-to-site delay deltas
+// of a few model ms above the wakeup latency of a loaded or
+// race-instrumented scheduler.
 func quickOpts(seed int64) Options {
-	scale := float64(200)
-	if raceEnabled {
-		scale = 25
-	}
-	return Options{Runs: 12, Keep: 10, Scale: scale, Seed: seed}
+	return Options{Runs: 12, Keep: 10, Scale: 25, Seed: seed}
 }
 
 func TestRegistryComplete(t *testing.T) {

@@ -168,6 +168,27 @@ func New(cfg Config) *Network {
 // Clock returns the network's model clock.
 func (n *Network) Clock() ntptime.Clock { return n.clock }
 
+// waitUntilMinWall is the least wall time WaitUntil gives a condition.
+var waitUntilMinWall = 5 * time.Second
+
+// WaitUntil polls cond until it holds and reports whether it did. It gives
+// up once limit of model time has passed, but never before
+// waitUntilMinWall of wall time: on a loaded host the scaled clock keeps
+// running while the goroutines the condition waits on sit descheduled, so
+// a model-only deadline would fail a condition that only lacked CPU time.
+// Polling sleeps in wall time, so a wait burns no CPU.
+func (n *Network) WaitUntil(limit time.Duration, cond func() bool) bool {
+	deadline := n.clock.Now().Add(limit)
+	wallDeadline := time.Now().Add(waitUntilMinWall)
+	for !cond() {
+		if n.clock.Now().After(deadline) && time.Now().After(wallDeadline) {
+			return cond()
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return true
+}
+
 // NodeClock returns a per-node clock skewed from the network clock by skew,
 // modelling an unsynchronised hardware clock.
 func (n *Network) NodeClock(skew time.Duration) ntptime.Clock {

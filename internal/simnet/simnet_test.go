@@ -76,7 +76,10 @@ func TestPacketRoundTrip(t *testing.T) {
 }
 
 func TestPacketDelayMatchesRTT(t *testing.T) {
-	n := fastWAN(t, 3)
+	// Scale 25, not fastWAN's 500: the 400ms model-time ceiling below is
+	// then 16ms of wall clock rather than 0.8ms, above the scheduler stalls
+	// of a loaded host.
+	n := NewPaperWAN(Config{Scale: 25, Seed: 3})
 	a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteCardiff, Host: "b"})
 	start := n.Clock().Now()
@@ -446,5 +449,30 @@ func TestDuplicateDatagrams(t *testing.T) {
 	}
 	if _, err := c.RecvTimeout(300 * time.Millisecond); err != ErrTimeout {
 		t.Fatal("same-site datagram duplicated")
+	}
+}
+
+func TestWaitUntil(t *testing.T) {
+	n := fastWAN(t, 70)
+	defer func(old time.Duration) { waitUntilMinWall = old }(waitUntilMinWall)
+	waitUntilMinWall = 20 * time.Millisecond
+
+	start := n.Clock().Now()
+	if !n.WaitUntil(time.Minute, func() bool { return n.Clock().Now().Sub(start) > time.Second }) {
+		t.Fatal("condition that comes true within the limit reported false")
+	}
+
+	// A condition that never holds gives up only once both the model limit
+	// and the wall floor have passed.
+	wall := time.Now()
+	start = n.Clock().Now()
+	if n.WaitUntil(time.Second, func() bool { return false }) {
+		t.Fatal("condition that never holds reported true")
+	}
+	if got := n.Clock().Now().Sub(start); got < time.Second {
+		t.Fatalf("gave up after %v of model time, want >= 1s", got)
+	}
+	if got := time.Since(wall); got < waitUntilMinWall {
+		t.Fatalf("gave up after %v of wall time, want >= %v", got, waitUntilMinWall)
 	}
 }

@@ -123,6 +123,8 @@ func TestRunnerBacksOffThroughFailures(t *testing.T) {
 	defer func() { r.Stop(); <-r.Done() }()
 
 	waitFor(t, "session after failures", func() bool { return ep.sessionCount() == 1 })
+	// The dial hands out the session before the runner records Connected.
+	waitFor(t, "Connected state", func() bool { return r.State() == Connected })
 	if got := r.Attempts(); got < 4 {
 		t.Fatalf("attempts = %d, want >= 4 (3 failures + success)", got)
 	}

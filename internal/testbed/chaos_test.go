@@ -12,11 +12,14 @@ import (
 
 // chaosOptions is a fully self-healing deployment: supervised links and
 // registrations, heartbeat liveness, periodic advertisement refresh with TTL
-// expiry. Intervals are model time — at the default scale 200 a 30s model
-// convergence budget costs ~150ms of wall clock.
+// expiry. Intervals are model time. At scale 25 the three silent heartbeat
+// intervals that tear a link down span 24ms of wall clock, so scheduler
+// stalls on a loaded host do not flap healthy links; a 30s model
+// convergence budget costs 1.2s.
 func chaosOptions() Options {
 	return Options{
 		Topology: topology.Linear,
+		Scale:    25,
 		Supervise: &supervise.Policy{
 			BaseBackoff: 50 * time.Millisecond,
 			MaxBackoff:  2 * time.Second,

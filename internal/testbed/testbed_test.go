@@ -304,8 +304,10 @@ func TestMultiBDNDeployment(t *testing.T) {
 }
 
 func TestBDNFailoverToSecondary(t *testing.T) {
+	// Scale 10 keeps the 300ms ack timeout at 30ms of wall clock, so a
+	// loaded host cannot time out the live secondary too.
 	tb, err := New(Options{Topology: topology.Star, Seed: 31, BDNCount: 2,
-		InjectPolicy: bdn.InjectClosestFarthest})
+		Scale: 10, InjectPolicy: bdn.InjectClosestFarthest})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,33 +262,49 @@ func (p *realPacketConn) Close() error {
 	return err
 }
 
+// streamScratch sizes the read scratch of a stream conn: large enough that
+// one read drains a typical coalesced egress flush, small enough that the
+// conns reading at once do not lift the heap peak.
+const streamScratch = 8 << 10
+
+// streamBufs holds read scratch shared by every real stream conn. A conn
+// holds one only while unread bytes remain: it waits for the next frame
+// with a 4-byte read into its own header array, so idle conns (a long-lived
+// link or session parked in Recv, or a short-lived dial) pin none.
+var streamBufs = sync.Pool{New: func() any { return new([streamScratch]byte) }}
+
 // realConn frames messages over TCP with a 4-byte big-endian length prefix.
 type realConn struct {
 	c       net.Conn
 	readMu  sync.Mutex
 	writeMu sync.Mutex
 
+	// Read state, guarded by readMu. buf[r:w] holds received bytes not yet
+	// returned as frames; buf is nil whenever that range is empty, and a
+	// read with nothing buffered goes into hdr instead. large is the
+	// exact-size payload of a frame bigger than the scratch, of which the
+	// first largeN bytes have arrived; a timeout leaves both in place so the
+	// next recv resumes mid-frame.
+	hdr    [4]byte
+	buf    *[streamScratch]byte
+	r, w   int
+	large  []byte
+	largeN int
+
 	// Batch-write scratch, guarded by writeMu: headers for every frame of a
-	// batch and the vectored-write view over headers and payloads.
+	// batch and the vectored-write view over headers and payloads. The write
+	// consumes batchView, a copy of the view, so batchBufs keeps its capacity
+	// and no view escapes to the heap per call.
 	batchHdrs []byte
 	batchBufs net.Buffers
+	batchView net.Buffers
 }
 
 func newRealConn(c net.Conn) *realConn { return &realConn{c: c} }
 
+// Send writes one frame, header and payload in a single vectored write.
 func (c *realConn) Send(payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if _, err := c.c.Write(hdr[:]); err != nil {
-		return translateNetErr(err)
-	}
-	_, err := c.c.Write(payload)
-	return translateNetErr(err)
+	return c.SendBatch([][]byte{payload})
 }
 
 // SendBatch implements BatchSender: all frames (each with its length prefix)
@@ -311,7 +327,8 @@ func (c *realConn) SendBatch(frames [][]byte) error {
 	}
 	c.batchHdrs = hdrs[:0]
 	c.batchBufs = bufs[:0]
-	_, err := bufs.WriteTo(c.c)
+	c.batchView = bufs
+	_, err := c.batchView.WriteTo(c.c)
 	return translateNetErr(err)
 }
 
@@ -319,28 +336,105 @@ func (c *realConn) Recv() ([]byte, error) { return c.recv(0) }
 
 func (c *realConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.recv(d) }
 
+// recv returns the next frame as an exact-size copy the caller owns. A frame
+// already buffered costs no syscall. With nothing buffered, recv blocks on a
+// read of the next header alone and takes a scratch only once it arrives;
+// one more read then fills the scratch with as many frames as the kernel
+// has queued.
 func (c *realConn) recv(d time.Duration) ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	if p, ok, err := c.buffered(); ok || err != nil {
+		return p, err
+	}
 	if d > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(d)); err != nil {
 			return nil, err
 		}
 		defer c.c.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
-		return nil, translateNetErr(err)
+	for {
+		if c.large != nil {
+			n, err := io.ReadFull(c.c, c.large[c.largeN:])
+			c.largeN += n
+			if err != nil {
+				return nil, translateNetErr(err)
+			}
+			p := c.large
+			c.large, c.largeN = nil, 0
+			return p, nil
+		}
+		var n int
+		var err error
+		if c.buf == nil {
+			n, err = c.c.Read(c.hdr[:])
+			if n > 0 {
+				c.buf = streamBufs.Get().(*[streamScratch]byte)
+				c.w = copy(c.buf[:], c.hdr[:n])
+			}
+		} else {
+			n, err = c.c.Read(c.buf[c.w:])
+			c.w += n
+		}
+		if p, ok, perr := c.buffered(); ok || perr != nil {
+			return p, perr
+		}
+		if err != nil {
+			c.releaseIfDrained()
+			return nil, translateNetErr(err)
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+}
+
+// buffered pops the next whole frame out of the scratch. When only part of
+// a frame is buffered it makes room for the rest: a frame that fits is
+// moved to the front of the scratch, a larger one moves its prefix into an
+// exact-size payload that recv then fills straight from the socket.
+func (c *realConn) buffered() ([]byte, bool, error) {
+	avail := c.w - c.r
+	if avail < 4 {
+		c.compact()
+		return nil, false, nil
+	}
+	n := binary.BigEndian.Uint32(c.buf[c.r:])
 	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
+		return nil, false, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.c, payload); err != nil {
-		return nil, translateNetErr(err)
+	size := 4 + int(n)
+	switch {
+	case size <= avail:
+		p := make([]byte, n)
+		copy(p, c.buf[c.r+4:c.r+size])
+		c.r += size
+		c.releaseIfDrained()
+		return p, true, nil
+	case size > streamScratch:
+		c.large = make([]byte, n)
+		c.largeN = copy(c.large, c.buf[c.r+4:c.w])
+		c.r = c.w
+		c.releaseIfDrained()
+	default:
+		c.compact()
 	}
-	return payload, nil
+	return nil, false, nil
+}
+
+// compact moves the unread bytes to the front of the scratch, so a frame
+// that fits in it always has room to complete.
+func (c *realConn) compact() {
+	if c.r > 0 {
+		c.w = copy(c.buf[:], c.buf[c.r:c.w])
+		c.r = 0
+	}
+}
+
+// releaseIfDrained hands the scratch back to the pool once every buffered
+// byte has been returned.
+func (c *realConn) releaseIfDrained() {
+	if c.buf != nil && c.r == c.w {
+		streamBufs.Put(c.buf)
+		c.buf, c.r, c.w = nil, 0, 0
+	}
 }
 
 func (c *realConn) LocalAddr() string  { return c.c.LocalAddr().String() }

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -420,6 +422,314 @@ func TestRealOversizedFrameRejected(t *testing.T) {
 	defer c.Close()
 	if err := c.Send(make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// newRealStreamPair connects two framed loopback stream conns, closed at
+// test end. Tests reach the raw socket through the conn's c field to cut
+// frames at arbitrary bytes.
+func newRealStreamPair(tb testing.TB) (*realConn, *realConn) {
+	tb.Helper()
+	node := NewRealNode("127.0.0.1", nil)
+	l, err := node.Listen(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	dialed, err := node.Dial(l.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	accepted, err := l.Accept()
+	if err != nil {
+		dialed.Close()
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		dialed.Close()
+		accepted.Close()
+	})
+	return dialed.(*realConn), accepted.(*realConn)
+}
+
+// framed returns p with its 4-byte length prefix, as it crosses the wire.
+func framed(p []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...)
+}
+
+// pendingBytes reports how many bytes of a not yet returned frame the conn
+// has read off the socket, header included.
+func pendingBytes(c *realConn) int {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	n := c.w - c.r
+	if c.large != nil {
+		n += 4 + c.largeN
+	}
+	return n
+}
+
+// holdsScratch reports whether the conn currently holds pooled read scratch.
+func holdsScratch(c *realConn) bool {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	return c.buf != nil
+}
+
+// TestRealStreamTimeoutMidFrame cuts a frame inside its header, inside its
+// body and inside a body larger than the read scratch: every RecvTimeout
+// that expires on the partial frame reports ErrTimeout and keeps the bytes,
+// and once the rest arrives the frame and the one after it come out intact.
+func TestRealStreamTimeoutMidFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size, cut int
+	}{
+		{"header", 300, 2},
+		{"body", 300, 4 + 150},
+		{"beyond-scratch", 100000, 4 + 50000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tx, rx := newRealStreamPair(t)
+			want, next := filled(tc.size, 3), filled(17, 4)
+			stream := append(framed(want), framed(next)...)
+			if _, err := tx.c.Write(stream[:tc.cut]); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for pendingBytes(rx) < tc.cut {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d cut bytes read", pendingBytes(rx), tc.cut)
+				}
+				if p, err := rx.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+					t.Fatalf("partial frame: got %d bytes, err = %v; want ErrTimeout", len(p), err)
+				}
+			}
+			if _, err := tx.c.Write(stream[tc.cut:]); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range [][]byte{want, next} {
+				got, err := rx.RecvTimeout(5 * time.Second)
+				if err != nil {
+					t.Fatalf("frame %d after resuming: %v", i, err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Fatalf("frame %d after resuming: got %d bytes, want the %d sent", i, len(got), len(w))
+				}
+			}
+			if holdsScratch(rx) {
+				t.Fatal("drained conn still holds its read scratch")
+			}
+		})
+	}
+}
+
+// TestRealStreamBatchMixedSizes sends 64 frames around every read-scratch
+// boundary in one vectored write; each comes back intact, in order and as
+// an exact-size copy.
+func TestRealStreamBatchMixedSizes(t *testing.T) {
+	tx, rx := newRealStreamPair(t)
+	sizes := []int{0, 1, 300, streamScratch - 5, streamScratch - 4, streamScratch - 3,
+		streamScratch - 1, streamScratch, streamScratch + 1, 100000}
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = filled(sizes[i%len(sizes)], byte(i))
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- tx.SendBatch(frames) }()
+	for i, want := range frames {
+		got, err := rx.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) || cap(got) != len(want) {
+			t.Fatalf("frame %d: got %d bytes (cap %d), want %d", i, len(got), cap(got), len(want))
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if holdsScratch(rx) {
+		t.Fatal("drained conn still holds its read scratch")
+	}
+}
+
+// TestRealStreamRecvDoesNotAlias overwrites each returned payload while the
+// frames after it still sit in the read scratch, then refills the scratch:
+// no payload may share memory with another or with the scratch.
+func TestRealStreamRecvDoesNotAlias(t *testing.T) {
+	tx, rx := newRealStreamPair(t)
+	batch := func(seed byte) [][]byte {
+		return [][]byte{filled(300, seed), filled(300, seed+1), filled(300, seed+2)}
+	}
+	var got [][]byte
+	for _, frames := range [][][]byte{batch(10), batch(20)} {
+		if err := tx.SendBatch(frames); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range frames {
+			p, err := rx.RecvTimeout(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p, want) {
+				t.Fatalf("frame %d corrupted by an earlier payload's overwrite", i)
+			}
+			for j := range p {
+				p[j] = 0xEE
+			}
+			got = append(got, p)
+		}
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, bytes.Repeat([]byte{0xEE}, 300)) {
+			t.Fatalf("payload %d changed after later reads", i)
+		}
+	}
+}
+
+func TestRealStreamOversizedHeaderRejected(t *testing.T) {
+	tx, rx := newRealStreamPair(t)
+	if _, err := tx.c.Write(binary.BigEndian.AppendUint32(nil, MaxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rx.RecvTimeout(5 * time.Second)
+	if err == nil || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("err = %v, want an oversized-frame error", err)
+	}
+}
+
+// scratchProbe wraps a realConn's socket and records, at every Read, whether
+// the conn held read scratch with no unread bytes in it. Read runs under the
+// conn's readMu, so it may inspect the read state.
+type scratchProbe struct {
+	net.Conn
+	owner     *realConn
+	reads     int
+	emptyHeld int
+}
+
+func (p *scratchProbe) Read(b []byte) (int, error) {
+	p.reads++
+	if p.owner.buf != nil && p.owner.w == p.owner.r {
+		p.emptyHeld++
+	}
+	return p.Conn.Read(b)
+}
+
+// TestRealStreamIdleHoldsNoScratch checks that a conn waiting for data holds
+// no read scratch: neither after a timeout with nothing buffered, nor while a
+// Recv is parked on an idle conn, as every link and session reader is.
+func TestRealStreamIdleHoldsNoScratch(t *testing.T) {
+	tx, rx := newRealStreamPair(t)
+	probe := &scratchProbe{Conn: rx.c, owner: rx}
+	rx.c = probe
+	if _, err := rx.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if holdsScratch(rx) {
+		t.Fatal("conn holds read scratch after a timeout with nothing buffered")
+	}
+
+	got := make(chan []byte, 1)
+	go func() {
+		p, err := rx.Recv()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- p
+	}()
+	time.Sleep(20 * time.Millisecond) // let Recv park on the idle socket
+	want := [][]byte{filled(300, 1), filled(300, 2)}
+	if err := tx.SendBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	if p := <-got; !bytes.Equal(p, want[0]) {
+		t.Fatalf("parked Recv got %d bytes, want the first frame", len(p))
+	}
+	if p, err := rx.RecvTimeout(5 * time.Second); err != nil || !bytes.Equal(p, want[1]) {
+		t.Fatalf("second frame: %d bytes, err = %v", len(p), err)
+	}
+	if probe.reads == 0 || probe.emptyHeld != 0 {
+		t.Fatalf("%d of %d socket reads ran holding an empty scratch", probe.emptyHeld, probe.reads)
+	}
+	if holdsScratch(rx) {
+		t.Fatal("drained conn still holds its read scratch")
+	}
+}
+
+// TestRealStreamConcurrentSenders has goroutines call Send and SendBatch on
+// one conn at once; the receiver must only ever see whole frames, each
+// sender's in the order it sent them.
+func TestRealStreamConcurrentSenders(t *testing.T) {
+	tx, rx := newRealStreamPair(t)
+	const senders, rounds, perBatch = 6, 40, 4
+	// A frame is [sender][seq uint32][body], the body derived from both so
+	// a torn or spliced frame never validates.
+	frame := func(g, seq int) []byte {
+		body := filled((seq*397+g*1009)%(2*streamScratch), byte(g*31+seq))
+		return append(binary.BigEndian.AppendUint32([]byte{byte(g)}, uint32(seq)), body...)
+	}
+	for g := 0; g < senders; g++ {
+		go func(g int) {
+			seq := 0
+			for r := 0; r < rounds; r++ {
+				var err error
+				if g%2 == 0 {
+					err = tx.Send(frame(g, seq))
+					seq++
+				} else {
+					batch := make([][]byte, perBatch)
+					for i := range batch {
+						batch[i] = frame(g, seq)
+						seq++
+					}
+					err = tx.SendBatch(batch)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	next := make([]int, senders)
+	total := senders / 2 * rounds * (1 + perBatch)
+	for i := 0; i < total; i++ {
+		p, err := rx.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d of %d frames: %v", i, total, err)
+		}
+		if len(p) < 5 || int(p[0]) >= senders {
+			t.Fatalf("frame %d: torn header (%d bytes)", i, len(p))
+		}
+		g, seq := int(p[0]), int(binary.BigEndian.Uint32(p[1:5]))
+		if seq != next[g] || !bytes.Equal(p, frame(g, seq)) {
+			t.Fatalf("frame %d: sender %d seq %d (want seq %d) torn or reordered", i, g, seq, next[g])
+		}
+		next[g]++
+	}
+}
+
+// BenchmarkRealStreamFrames measures one coalesced flush over loopback TCP:
+// a 16-frame SendBatch of 300-byte frames, then the 16 Recvs that read it.
+func BenchmarkRealStreamFrames(b *testing.B) {
+	tx, rx := newRealStreamPair(b)
+	frames := make([][]byte, 16)
+	for i := range frames {
+		frames[i] = filled(300, byte(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tx.SendBatch(frames); err != nil {
+			b.Fatal(err)
+		}
+		for range frames {
+			if _, err := rx.RecvTimeout(2 * time.Second); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -311,6 +311,14 @@ func (r *Reader) Bytes16() [16]byte {
 
 // BytesField reads a length-prefixed byte slice (copied out of the buffer).
 func (r *Reader) BytesField() []byte {
+	return append([]byte(nil), r.BytesFieldAlias()...)
+}
+
+// BytesFieldAlias reads a length-prefixed byte slice without copying it: the
+// result aliases the reader's buffer, so it is only as immutable as that
+// buffer. Its capacity is clipped to its length, so appending to it never
+// overwrites the bytes that follow. An empty field reads as nil.
+func (r *Reader) BytesFieldAlias() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -320,10 +328,10 @@ func (r *Reader) BytesField() []byte {
 		return nil
 	}
 	b := r.take(int(n))
-	if b == nil {
+	if len(b) == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:n:n]
 }
 
 // StringList reads a list of strings.

@@ -212,6 +212,29 @@ func TestBytesFieldCopies(t *testing.T) {
 	}
 }
 
+func TestBytesFieldAliasShares(t *testing.T) {
+	w := NewWriter(0)
+	w.BytesField([]byte{1, 2, 3})
+	w.BytesField(nil)
+	w.Byte(7)
+	buf := w.Bytes()
+	r := NewReader(buf)
+	got := r.BytesFieldAlias()
+	if empty := r.BytesFieldAlias(); empty != nil {
+		t.Fatalf("empty field = %v, want nil", empty)
+	}
+	if r.Byte() != 7 || r.Finish() != nil {
+		t.Fatal("reader lost its place after the aliased fields")
+	}
+	buf[3] = 99 // the field's last byte
+	if got[2] != 99 {
+		t.Fatal("BytesFieldAlias copied the input buffer")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap = %d, want clipped to %d", cap(got), len(got))
+	}
+}
+
 func BenchmarkWriterTypicalMessage(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
